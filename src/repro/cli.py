@@ -464,7 +464,7 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
     converged = result.converged_round()
     claims = [
         ("converged", "yes" if converged is not None else
-         f"no (round limit {args.rounds})"),
+         f"no ({result.stop_reason or 'unrecorded'})"),
         ("global MEL initial -> final",
          f"{result.initial_mel:.4f} -> {result.final_mel:.4f}"),
     ]

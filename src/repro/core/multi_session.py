@@ -528,13 +528,17 @@ class MultiSessionCoordinator:
         # (no transit) this reduces to capacities proportional to the
         # pair's default loads, the bandwidth experiment's exact setup.
         #: Per edge: cached per-side load vectors of the *current* choices,
-        #: invalidated on adoption. Only one edge's placement can change
-        #: per slot, so the record-keeping (`_isp_loads`/`_mels` on every
-        #: slot) sums cached vectors instead of re-running full
+        #: dropped whenever the edge's choices change (`_set_choices`), so
+        #: `_isp_loads` sums cached vectors instead of re-running full
         #: scatter-adds.
         self._load_cache: list[dict[str, np.ndarray]] = [
             {} for _ in range(self.net.n_edges())
         ]
+        #: Per ISP: the MEL of its current loads. A slot changes at most
+        #: its own edge's choices, which drops that edge's two endpoint
+        #: ISPs (`_set_choices`); a transit refresh drops every entry.
+        #: `_mels()` on every slot then re-scores only the dropped ISPs.
+        self._mel_cache: dict[str, float] = {}
         self._caps = {}
         for isp in self.net.isps:
             planned = np.zeros(isp.n_links())
@@ -734,8 +738,9 @@ class MultiSessionCoordinator:
         """One edge's current per-link loads on one side, cached.
 
         The cache entry is exactly ``link_loads`` of the edge's current
-        choices (bit-identical by determinism) and is dropped whenever a
-        new agreement is adopted.
+        choices (bit-identical by determinism) and is dropped whenever
+        those choices change: an adopted agreement or a severance
+        re-route.
         """
         cached = self._load_cache[edge_index].get(side)
         if cached is None:
@@ -764,10 +769,22 @@ class MultiSessionCoordinator:
         return total
 
     def _mels(self) -> tuple[float, ...]:
-        return tuple(
-            max_excess_load(self._isp_loads(name), self._caps[name])
-            for name in self.net.names()
-        )
+        names = self.net.names()
+        cache = self._mel_cache
+        for name in names:
+            if name not in cache:
+                cache[name] = max_excess_load(
+                    self._isp_loads(name), self._caps[name]
+                )
+        return tuple(cache[name] for name in names)
+
+    def _set_choices(self, edge_index: int, choices: np.ndarray) -> None:
+        """Replace one edge's choices and drop the caches they feed."""
+        self._choices[edge_index] = choices
+        self._load_cache[edge_index] = {}
+        edge = self.net.edges[edge_index]
+        self._mel_cache.pop(edge.isp_a.name, None)
+        self._mel_cache.pop(edge.isp_b.name, None)
 
     # -- per-edge sessions ----------------------------------------------------
 
@@ -1029,6 +1046,7 @@ class MultiSessionCoordinator:
                 self._transit = self._transit_index.loads()
             else:
                 self._transit = self._transit_loads()
+            self._mel_cache.clear()
         self._working_cache[edge_index] = None
         self._edge_model_cache[edge_index] = None
         self._edge_scenarios_cache[edge_index] = None
@@ -1043,8 +1061,7 @@ class MultiSessionCoordinator:
             refuge = keep[early_exit_choices(work_table)]
             rerouted = choices.copy()
             rerouted[stranded] = refuge[stranded]
-            self._choices[edge_index] = rerouted
-            self._load_cache[edge_index] = {}
+            self._set_choices(edge_index, rerouted)
         return n_stranded
 
     def _register_failure(self, edge_index: int, round_index: int) -> None:
@@ -1634,8 +1651,7 @@ class MultiSessionCoordinator:
             n_changed = int(
                 np.count_nonzero(proposal != self._choices[edge_index])
             )
-            self._choices[edge_index] = proposal
-            self._load_cache[edge_index] = {}
+            self._set_choices(edge_index, proposal)
         self._negotiated_once[edge_index] = True
         self._last_context[edge_index] = (base_a, base_b)
         self._force_scope[edge_index] = False

@@ -176,6 +176,10 @@ class MultiIspUnitRecord:
     fault: str | None = None
     #: Flows force-re-routed by link failures severed at this slot.
     n_rerouted: int = 0
+    #: Why the whole coordination stopped (identical on every record of a
+    #: sweep, like ``initial_global_mel``); None on shards pickled before
+    #: the field existed.
+    stop_reason: str | None = None
 
 
 def _unit_record(result, round_index: int, edge_index: int) -> MultiIspUnitRecord:
@@ -189,6 +193,7 @@ def _unit_record(result, round_index: int, edge_index: int) -> MultiIspUnitRecor
                     **asdict(record),
                     executed_round=True,
                     initial_global_mel=result.initial_mel,
+                    stop_reason=result.stop_reason,
                 )
         raise ConfigurationError(
             f"coordination round {round_index} has no record for edge "
@@ -212,6 +217,7 @@ def _unit_record(result, round_index: int, edge_index: int) -> MultiIspUnitRecor
         global_mel=max(mels) if mels else 0.0,
         executed_round=False,
         initial_global_mel=result.initial_mel,
+        stop_reason=result.stop_reason,
     )
 
 
@@ -239,6 +245,11 @@ class MultiIspExperimentResult:
                 records[-1].global_mel if records else self.initial_mel
             )
         return trajectory
+
+    @property
+    def stop_reason(self) -> str | None:
+        """The coordination's stop reason; None if the shards predate it."""
+        return self.records[0].stop_reason if self.records else None
 
     def executed_rounds(self) -> int:
         return len(
@@ -314,7 +325,8 @@ def _multi_isp_summary(result: MultiIspExperimentResult) -> list:
              + [f"{mel:.3f}" for mel in trajectory]
          )),
         ("converged",
-         "no" if converged is None else f"after round {converged}"),
+         f"no ({result.stop_reason or 'unrecorded'})" if converged is None
+         else f"after round {converged}"),
     ]
 
 

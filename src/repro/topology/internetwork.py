@@ -142,6 +142,12 @@ class Internetwork:
             seen.add(key)
         self._edges = tuple(edges)
         self._config = config
+        #: Per ISP (canonical order): its incident edge indices, ascending.
+        incident: list[list[int]] = [[] for _ in self._isps]
+        for i, edge in enumerate(self._edges):
+            incident[self._index[edge.isp_a.name]].append(i)
+            incident[self._index[edge.isp_b.name]].append(i)
+        self._incident = tuple(tuple(indices) for indices in incident)
 
     # -- accessors ----------------------------------------------------------
 
@@ -181,12 +187,7 @@ class Internetwork:
 
     def edges_of(self, name: str) -> list[int]:
         """Indices of the edges that touch one ISP, ascending."""
-        self.index(name)  # validates
-        return [
-            i
-            for i, edge in enumerate(self._edges)
-            if name in (edge.isp_a.name, edge.isp_b.name)
-        ]
+        return list(self._incident[self.index(name)])
 
     def edge_side(self, edge_index: int, name: str) -> str:
         """Which side ('a' or 'b') of an edge the named ISP occupies."""

@@ -8,6 +8,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.internetwork import (
     MULTI_ISP_SCENARIO,
+    MultiIspExperimentResult,
+    MultiIspUnitRecord,
     run_multi_isp,
     run_multi_isp_experiment,
 )
@@ -57,6 +59,79 @@ class TestAggregate:
         claims = dict(MULTI_ISP_SCENARIO.summarize(serial_result))
         assert "global MEL trajectory" in claims
         assert "->" in claims["global MEL trajectory"]
+
+    def test_records_carry_stop_reason(self, serial_result):
+        assert serial_result.stop_reason == "converged"
+        assert {r.stop_reason for r in serial_result.records} == {
+            "converged"
+        }
+
+
+def _stopped_early(stop_reason):
+    """A synthesized 2-edge, 3-round grid that stopped after round 1.
+
+    Both executed rounds moved flows, so the grid never converged; the
+    stop reason alone says why it ended.
+    """
+    records = []
+    for round_index in range(3):
+        executed = round_index < 2
+        for edge in range(2):
+            records.append(MultiIspUnitRecord(
+                round_index=round_index, slot=edge, edge_index=edge,
+                pair_name=f"p{edge}", scope_size=int(executed),
+                ran_session=executed, adopted=executed,
+                n_changed=int(executed),
+                mel_per_isp=(0.5, 0.5, 0.5), global_mel=0.5,
+                executed_round=executed, initial_global_mel=0.7,
+                stop_reason=stop_reason,
+            ))
+    return MultiIspExperimentResult(
+        isp_names=("x", "y", "z"), edge_names=("p0", "p1"), n_rounds=3,
+        initial_mel=0.7, records=records,
+    )
+
+
+class TestStopReason:
+    """Non-converged runs report why they stopped, not a blanket limit."""
+
+    def test_summary_reports_oscillating(self):
+        result = _stopped_early("oscillating")
+        assert result.converged_round() is None
+        assert result.stop_reason == "oscillating"
+        claims = dict(MULTI_ISP_SCENARIO.summarize(result))
+        assert claims["converged"] == "no (oscillating)"
+
+    def test_cli_reports_oscillating(self, capsys, monkeypatch):
+        import repro.experiments.internetwork as internetwork
+        from repro.cli import main
+
+        monkeypatch.setattr(
+            internetwork, "run_multi_isp_experiment",
+            lambda *args, **kwargs: _stopped_early("oscillating"),
+        )
+        assert main([
+            "multi-isp", "--preset", "quick", "--isps", "3",
+            "--rounds", "3", "--damping", "off",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "measured: no (oscillating)" in out
+        assert "round limit" not in out
+
+    def test_records_without_the_field_load_as_unrecorded(self):
+        import pickle
+
+        result = _stopped_early("max_rounds")
+        for record in result.records:
+            # Shards pickled before the field existed carry no entry
+            # for it; unpickling falls back to the class default.
+            object.__delattr__(record, "stop_reason")
+        result.records = [
+            pickle.loads(pickle.dumps(record)) for record in result.records
+        ]
+        assert result.stop_reason is None
+        claims = dict(MULTI_ISP_SCENARIO.summarize(result))
+        assert claims["converged"] == "no (unrecorded)"
 
 
 class TestWorkerInvariance:

@@ -785,3 +785,96 @@ class TestSingleIspRegression:
         assert result.timing_summary() == {
             "per_edge": {}, "per_round_colors": [],
         }
+
+
+def _check_mels_every_slot(coordinator, monkeypatch):
+    """Wrap ``_slot_finish`` to pin the cached MELs after every slot.
+
+    After each slot the cached ``_mels()`` (and the record built from
+    it) must equal a from-scratch score of every ISP. Returns the list
+    of checked slots, so a test can assert the check actually ran.
+    """
+    finish = coordinator._slot_finish
+    names = coordinator.net.names()
+    checked = []
+
+    def checked_finish(*args, **kwargs):
+        record = finish(*args, **kwargs)
+        fresh = tuple(
+            max_excess_load(
+                coordinator._isp_loads(name), coordinator._caps[name]
+            )
+            for name in names
+        )
+        assert coordinator._mels() == fresh
+        assert record.mel_per_isp == fresh
+        checked.append((record.round_index, record.edge_index))
+        return record
+
+    monkeypatch.setattr(coordinator, "_slot_finish", checked_finish)
+    return checked
+
+
+class TestMelCache:
+    """Per-ISP MELs are cached and re-scored only where a slot wrote."""
+
+    @pytest.mark.parametrize(
+        "transit_engine, include_transit",
+        [("incremental", True), ("legacy", True), ("incremental", False)],
+    )
+    def test_cache_matches_scratch_under_severance(
+        self, config, monkeypatch, transit_engine, include_transit
+    ):
+        # With transit on, a severance also refreshes transit, which
+        # drops every cached MEL; transit off isolates the re-route's
+        # own invalidation of the severed edge's endpoints.
+        from repro.core.faults import FaultPlan
+
+        net = _net(4)
+        probe = MultiSessionCoordinator(net, config=config)
+        plan = FaultPlan.seeded(
+            7,
+            n_edges=net.n_edges(),
+            n_rounds=6,
+            n_alternatives=[t.n_alternatives for t in probe._tables],
+            link_failure_rate=0.5,
+        )
+        assert any(e.kind == "link_failure" for e in plan.events)
+        coordinator = MultiSessionCoordinator(
+            net, config=config, max_rounds=6, transit_scale=3.0,
+            transit_engine=transit_engine, fault_plan=plan,
+            include_transit=include_transit,
+        )
+        assert coordinator._has_transit() == include_transit
+        checked = _check_mels_every_slot(coordinator, monkeypatch)
+        result = coordinator.run()
+        assert len(checked) == sum(len(r.records) for r in result.rounds)
+        assert any(
+            r.n_rerouted for round_ in result.rounds for r in round_.records
+        )
+
+    def test_cache_matches_scratch_on_damping_ladder(
+        self, config, monkeypatch
+    ):
+        coordinator = _flip_coordinator(
+            config, monkeypatch, damping="ladder"
+        )
+        checked = _check_mels_every_slot(coordinator, monkeypatch)
+        result = coordinator.run()
+        assert result.stop_reason == "converged"
+        assert len(result.rounds) > 2  # the ladder escalated
+        assert checked
+
+    def test_cache_matches_scratch_on_workers(self, config, monkeypatch):
+        net = _net(4, shape="ring")
+        results = []
+        for workers in (None, 2):
+            coordinator = MultiSessionCoordinator(
+                net, config=config, max_rounds=6, transit_scale=3.0,
+                coord_workers=workers,
+            )
+            checked = _check_mels_every_slot(coordinator, monkeypatch)
+            results.append(coordinator.run())
+            assert checked
+        serial, pooled = results
+        assert _trajectory_signature(pooled) == _trajectory_signature(serial)

@@ -180,3 +180,38 @@ class TestInternetworkClass:
         assert net.n_edges() == 0
         assert not net.graph().edges
         assert "0 peering edges" in net.summary()
+
+
+def _scan_edges_of(net, name):
+    """The brute-force reference: every edge with the ISP as an endpoint."""
+    return [
+        i
+        for i, edge in enumerate(net.edges)
+        if name in (edge.isp_a.name, edge.isp_b.name)
+    ]
+
+
+class TestEdgeIndex:
+    """``edges_of`` answers from an index built once, equal to a scan."""
+
+    @pytest.mark.parametrize(
+        "shape, n_isps", [("chain", 4), ("ring", 4), ("random", 5)]
+    )
+    def test_matches_scan(self, shape, n_isps):
+        net = build_internetwork(
+            InternetworkConfig(
+                n_isps=n_isps, shape=shape, seed=2005, generator=GEN
+            )
+        )
+        for name in net.names():
+            assert net.edges_of(name) == _scan_edges_of(net, name)
+
+    def test_edge_free_internetwork(self, chain3):
+        net = Internetwork(chain3.isps, [])
+        for name in net.names():
+            assert net.edges_of(name) == _scan_edges_of(net, name) == []
+
+    def test_returned_list_is_a_copy(self, chain3):
+        name = chain3.names()[1]
+        chain3.edges_of(name).append(99)
+        assert chain3.edges_of(name) == [0, 1]
