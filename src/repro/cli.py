@@ -54,7 +54,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import run_distance_experiment
 from repro.experiments.report import format_claims, format_series_table
 from repro.optimal.solver import available_lp_solvers
-from repro.routing.paths import SSSP_ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -88,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=available_lp_solvers(),
                        help="LP backend for every solved LP "
                             "(default: highs; see repro.optimal.solver)")
-        p.add_argument("--routing-engine", default=None,
-                       choices=SSSP_ENGINES,
-                       help="intradomain SSSP engine (default: csgraph; "
-                            "legacy = per-source networkx)")
 
     def add_runner(p: argparse.ArgumentParser) -> None:
         p.add_argument("--workers", type=int, default=None,
@@ -184,11 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="disable inter-domain transit background")
     p_multi.add_argument("--transit-scale", type=float, default=3.0,
                          help="mean per-PoP transit demand (default: 3.0)")
-    p_multi.add_argument("--transit-engine",
-                         choices=("incremental", "legacy"),
-                         default="incremental",
-                         help="transit load backend; both are bit-identical "
-                              "(default: incremental)")
     p_multi.add_argument("--coord-workers", type=int, default=None,
                          metavar="W",
                          help="processes per color class inside each "
@@ -267,13 +257,8 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     config = _PRESETS[args.preset]()
     if args.seed is not None:
         config = config.with_seed(args.seed)
-    overrides = {}
     if getattr(args, "lp_solver", None) is not None:
-        overrides["lp_solver"] = args.lp_solver
-    if getattr(args, "routing_engine", None) is not None:
-        overrides["routing_engine"] = args.routing_engine
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, lp_solver=args.lp_solver)
     return config
 
 
@@ -440,7 +425,6 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
         order=args.order,
         include_transit=not args.no_transit,
         transit_scale=args.transit_scale,
-        transit_engine=args.transit_engine,
         coord_workers=args.coord_workers,
         damping=args.damping,
         hysteresis_margin=args.hysteresis_margin,

@@ -65,10 +65,10 @@ scales with the number of colors, not edges. ``transit_engine=
 so a severance re-routes only the transit demands crossing the failed
 edge (``"legacy"`` re-derives all of them; both pinned bit-identical).
 ``run()`` also instruments convergence: per-round potential (global MEL,
-flows moved), per-color/per-edge wall timings, and oscillation detection
-— a round that moves flows yet lands on a previously seen global
-assignment fingerprint warns :class:`CoordinationOscillationWarning` and
-stops with ``stop_reason="oscillating"``. Under ``order="random"`` the
+flows moved) and oscillation detection — a round that moves flows yet
+lands on a previously seen global assignment fingerprint warns
+:class:`CoordinationOscillationWarning` and stops with
+``stop_reason="oscillating"``. Under ``order="random"`` the
 fingerprint additionally mixes in the order stream's generator state:
 a revisited assignment alone does not imply a cycle while the per-round
 class order still draws from the RNG, so only a revisit of the full
@@ -89,7 +89,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import multiprocessing
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -207,20 +206,13 @@ class CoordinationRound:
 
     ``order`` is the flat edge visit order (the concatenated colored
     schedule); ``color_schedule`` is the same order grouped by color
-    class, in executed class order. ``color_timings`` holds wall seconds
-    per executed class (including any pool wait) and ``edge_timings``
-    per-edge parent-side seconds — a parallel class attributes its
-    session wall time to the class, not the edges. Timings never enter
-    :class:`EdgeSessionRecord`, so sweep records stay bit-comparable
-    across serial/parallel/resumed runs.
+    class, in executed class order.
     """
 
     round_index: int
     order: tuple[int, ...]
     records: list[EdgeSessionRecord] = field(default_factory=list)
     color_schedule: tuple[tuple[int, ...], ...] = ()
-    color_timings: list[float] = field(default_factory=list)
-    edge_timings: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_sessions(self) -> int:
@@ -309,25 +301,6 @@ class MultiNegotiationResult:
         """Per round: (global MEL after the round, flows moved in it)."""
         return [(r.global_mel, r.n_changed) for r in self.rounds]
 
-    def timing_summary(self) -> dict:
-        """Aggregated wall timings of the coordination.
-
-        ``per_edge`` sums each edge's parent-side slot seconds across
-        rounds; ``per_round_colors`` lists every round's per-class wall
-        seconds in executed class order (a parallel class's session time
-        lives here, not in ``per_edge``).
-        """
-        per_edge: dict[int, float] = {}
-        for round_ in self.rounds:
-            for edge_index, seconds in round_.edge_timings.items():
-                per_edge[edge_index] = per_edge.get(edge_index, 0.0) + seconds
-        return {
-            "per_edge": per_edge,
-            "per_round_colors": [
-                list(round_.color_timings) for round_ in self.rounds
-            ],
-        }
-
 
 @dataclass
 class _SlotDecision:
@@ -370,7 +343,7 @@ class MultiSessionCoordinator:
     slots bench an edge for ``quarantine_backoff_rounds`` rounds, doubling
     per quarantine up to ``quarantine_backoff_cap``. A ``failure_model``
     switches the edge agents to CVaR-blended scenario-aware preferences
-    (``tail_weight``/``tail_quantile``/``scenario_engine``) and adds the
+    (``tail_weight``/``tail_quantile``) and adds the
     per-endpoint CVaR_q MEL to the re-agreement Pareto gate. All default
     to off; the defaults leave every pre-existing code path untouched.
 
@@ -393,7 +366,12 @@ class MultiSessionCoordinator:
     transit background reacts to severances: ``"incremental"`` (default)
     re-routes only the demands crossing the severed edge via
     :class:`~repro.routing.interdomain.TransitLoadIndex`; ``"legacy"``
-    re-derives every demand. Both engines are bit-identical.
+    re-derives every demand. Both engines are bit-identical; the
+    experiment drivers always run the default. The other references
+    the coordinator runs on (networkx SSSP, the per-flow scope subset,
+    the per-scenario CVaR loop) are chosen on their own classes
+    (``IntradomainRouting``, ``PairCostTable.subset``,
+    ``ScenarioAwareEvaluator``), not here.
     """
 
     def __init__(
@@ -407,14 +385,12 @@ class MultiSessionCoordinator:
         max_rounds: int = 8,
         include_transit: bool = True,
         transit_scale: float = 1.0,
-        subset_engine: str = "incidence",
         transit_engine: str = "incremental",
         coord_workers: int | None = None,
         fault_plan: FaultPlan | None = None,
         failure_model: FailureModel | None = None,
         tail_weight: float = 0.5,
         tail_quantile: float = 0.95,
-        scenario_engine: str = "batch",
         quarantine_after: int = 2,
         quarantine_backoff_rounds: int = 1,
         quarantine_backoff_cap: int = 8,
@@ -467,7 +443,6 @@ class MultiSessionCoordinator:
         self.max_rounds = max_rounds
         self.include_transit = include_transit
         self.transit_scale = transit_scale
-        self.subset_engine = subset_engine
         self.transit_engine = transit_engine
         self.coord_workers = resolve_workers(coord_workers)
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
@@ -480,7 +455,6 @@ class MultiSessionCoordinator:
         self.failure_model = failure_model
         self.tail_weight = float(tail_weight)
         self.tail_quantile = float(tail_quantile)
-        self.scenario_engine = scenario_engine
         self.quarantine_after = quarantine_after
         self.quarantine_backoff_rounds = quarantine_backoff_rounds
         self.quarantine_backoff_cap = quarantine_backoff_cap
@@ -499,10 +473,7 @@ class MultiSessionCoordinator:
         self._damping: DampingController | None = None
 
         self._routings = {
-            isp.name: IntradomainRouting(
-                isp, engine=self.config.routing_engine
-            )
-            for isp in self.net.isps
+            isp.name: IntradomainRouting(isp) for isp in self.net.isps
         }
         self._tables = []
         self._defaults = []
@@ -842,7 +813,6 @@ class MultiSessionCoordinator:
             base_loads=base_loads,
             range_=p_range,
             ratio_unit=self.config.ratio_unit,
-            scenario_engine=self.scenario_engine,
         )
 
     def _run_session(
@@ -879,7 +849,7 @@ class MultiSessionCoordinator:
             table, choices, "b", active=out_of_scope, base=base_b
         )
         work_table, keep = self._working(edge_index)
-        sub_table = work_table.subset(scope, engine=self.subset_engine)
+        sub_table = work_table.subset(scope)
         if self._severed[edge_index]:
             defaults_sub = self._inverse_keep(edge_index)[choices[scope]]
         else:
@@ -1216,14 +1186,8 @@ class MultiSessionCoordinator:
                 )
                 slot = 0
                 for group in schedule:
-                    started = time.perf_counter()
                     round_.records.extend(
-                        self._run_color_class(
-                            round_index, slot, group, round_.edge_timings
-                        )
-                    )
-                    round_.color_timings.append(
-                        time.perf_counter() - started
+                        self._run_color_class(round_index, slot, group)
                     )
                     slot += len(group)
                 rounds.append(round_)
@@ -1322,7 +1286,6 @@ class MultiSessionCoordinator:
         round_index: int,
         slot_offset: int,
         group: tuple[int, ...],
-        edge_timings: dict[int, float],
     ) -> list[EdgeSessionRecord]:
         """Execute one color class, serially or on the fork pool.
 
@@ -1337,7 +1300,6 @@ class MultiSessionCoordinator:
         records: list[EdgeSessionRecord] = []
         if not use_pool:
             for offset, edge_index in enumerate(group):
-                started = time.perf_counter()
                 decision = self._slot_begin(round_index, edge_index)
                 output = None
                 if decision.kind == "session":
@@ -1353,28 +1315,15 @@ class MultiSessionCoordinator:
                         round_index, slot_offset + offset, decision, output
                     )
                 )
-                elapsed = time.perf_counter() - started
-                edge_timings[edge_index] = (
-                    edge_timings.get(edge_index, 0.0) + elapsed
-                )
             return records
 
-        begun = [
-            (time.perf_counter(), self._slot_begin(round_index, edge_index))
-            for edge_index in group
+        decisions = [
+            self._slot_begin(round_index, edge_index) for edge_index in group
         ]
-        decisions = []
-        for started, decision in begun:
-            edge_timings[decision.edge_index] = (
-                edge_timings.get(decision.edge_index, 0.0)
-                + (time.perf_counter() - started)
-            )
-            decisions.append(decision)
         outputs = self._run_sessions(
             [d for d in decisions if d.kind == "session"]
         )
         for offset, decision in enumerate(decisions):
-            started = time.perf_counter()
             records.append(
                 self._slot_finish(
                     round_index,
@@ -1382,9 +1331,6 @@ class MultiSessionCoordinator:
                     decision,
                     outputs.get(decision.edge_index),
                 )
-            )
-            edge_timings[decision.edge_index] += (
-                time.perf_counter() - started
             )
         return records
 

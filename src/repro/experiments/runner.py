@@ -29,8 +29,8 @@ ordered reducer — and executed by a :class:`SweepRunner` that owns:
 **Determinism contract:** unit enumeration is deterministic in the config,
 every unit is independent, and results are reduced in unit order — so any
 ``workers=N``, any interrupt/resume split, and the serial loop all produce
-bit-identical aggregates. The equivalence tests assert this against the
-legacy drivers (kept behind ``runner="legacy"``).
+bit-identical aggregates. The equivalence tests assert this against plain
+serial loops over the per-unit functions.
 
 Scenarios register themselves by name (``distance``, ``bandwidth``,
 ``grouped``, ``oscillation``, ``destination``) so the CLI ``sweep``

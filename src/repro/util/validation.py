@@ -20,7 +20,7 @@ def validate_choice(value, choices, name: str):
     """The one engine-/backend-selection convention of the library.
 
     Every API that exposes a backend choice (``engine=``, ``solver=``,
-    ``table_engine=``, ...) validates it here: an unknown value raises
+    ``scenario_engine=``, ...) validates it here: an unknown value raises
     :class:`ConfigurationError` naming the parameter and the allowed
     values. Returns ``value`` unchanged so call sites can validate inline.
     """

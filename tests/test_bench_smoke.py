@@ -164,29 +164,34 @@ def test_smoke_incremental_stop(fixture):
 
 
 def test_smoke_sweep_runner_path(tmp_path):
-    """The unified sweep runner: warm start + checkpoint + legacy parity.
+    """The unified sweep runner: warm start + checkpoint + serial parity.
 
     One-shot exercise of the runner machinery under tier-1: the sweep
-    path must stay bit-identical to the legacy driver loop, a warm-started
-    dataset must be a cache hit (not a rebuild), and a checkpointed rerun
-    must reproduce the sweep from shards alone.
+    path must stay bit-identical to a serial loop over the pairs, a
+    warm-started dataset must be a cache hit (not a rebuild), and a
+    checkpointed rerun must reproduce the sweep from shards alone.
     """
     from dataclasses import replace
 
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.distance import run_distance_experiment
-    from repro.experiments.parallel import dataset_for, warm_dataset
+    from repro.experiments.distance import (
+        run_distance_experiment,
+        run_distance_pair,
+    )
+    from repro.experiments.parallel import dataset_for, pairs_for, warm_dataset
 
     config = replace(ExperimentConfig.quick(), max_pairs_distance=1)
     assert dataset_for(config) is warm_dataset(config)
 
     sweep = run_distance_experiment(config, checkpoint_dir=tmp_path)
-    legacy = run_distance_experiment(config, runner="legacy")
+    _, pairs = pairs_for(config, 2, config.max_pairs_distance)
+    legacy = [run_distance_pair(pair, config) for pair in pairs]
     resumed = run_distance_experiment(
         config, checkpoint_dir=tmp_path, resume=True
     )
-    for a, b in ((sweep, legacy), (sweep, resumed)):
-        for s, o in zip(a.pairs, b.pairs):
+    assert len(sweep.pairs) == len(legacy) == len(resumed.pairs) > 0
+    for others in (legacy, resumed.pairs):
+        for s, o in zip(sweep.pairs, others):
             assert s.pair_name == o.pair_name
             assert s.total_gain_negotiated == o.total_gain_negotiated
             assert np.array_equal(

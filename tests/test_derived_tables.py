@@ -17,9 +17,12 @@ Both contracts hold all the way up to complete ``BandwidthCaseResult``s.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+import repro.experiments.bandwidth as bandwidth
 from repro.errors import ConfigurationError, RoutingError, TrafficError
 from repro.experiments.bandwidth import (
     _build_context,
@@ -28,7 +31,7 @@ from repro.experiments.bandwidth import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.geo.population import PopulationModel
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
 from repro.routing.incidence import PathIncidence
@@ -252,7 +255,7 @@ class TestSubsetEquivalence:
             inc.subset_rows(np.array([-1]))
 
     def test_case_results_bit_identical_across_subset_engines(
-        self, bandwidth_fixture
+        self, bandwidth_fixture, monkeypatch
     ):
         config, pair, _, context = bandwidth_fixture
         for k in range(pair.n_interconnections()):
@@ -262,9 +265,16 @@ class TestSubsetEquivalence:
                 include_diverse=(k == 0),
             )
             fast = run_bandwidth_case(context, k, config, **includes)
-            legacy_scope = run_bandwidth_case(
-                context, k, config, subset_engine="legacy", **includes
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    PairCostTable, "subset",
+                    functools.partialmethod(
+                        PairCostTable.subset, engine="legacy"
+                    ),
+                )
+                legacy_scope = run_bandwidth_case(
+                    context, k, config, **includes
+                )
             assert fast == legacy_scope  # dataclass ==: every field, exact floats
 
     def test_no_recompilation_end_to_end(self, bandwidth_fixture, monkeypatch):
@@ -316,27 +326,32 @@ class TestCaseEquivalence:
         result = run_bandwidth_case(context, 0, config)
         assert result.n_affected >= 0
 
-    def test_run_pair_cases_honors_flag(self, bandwidth_fixture):
+    def test_run_pair_cases_honors_flag(self, bandwidth_fixture, monkeypatch):
         config, pair, workload, _ = bandwidth_fixture
-        fast = run_pair_cases(
-            pair, config, {"derived_tables": True}, workload
+        fast = run_pair_cases(pair, config, {}, workload)
+        monkeypatch.setattr(
+            bandwidth, "run_bandwidth_case",
+            functools.partial(run_bandwidth_case, derived_tables=False),
         )
-        slow = run_pair_cases(
-            pair, config, {"derived_tables": False}, workload
-        )
+        slow = run_pair_cases(pair, config, {}, workload)
         assert fast == slow
         assert len(fast) >= 1
 
-    def test_experiment_matches_legacy_across_workers(self):
+    def test_experiment_matches_legacy_across_workers(self, monkeypatch):
         """Derived tables + parallel workers vs legacy serial: identical."""
         from dataclasses import replace
 
         from repro.experiments.bandwidth import run_bandwidth_experiment
 
         config = replace(ExperimentConfig.quick(), max_pairs_bandwidth=2)
-        legacy_serial = run_bandwidth_experiment(
-            config, derived_tables=False, workers=1
-        )
+        # The per-case rebuild reference, patched in for the serial run
+        # only (forked workers would inherit the patch).
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                bandwidth, "run_bandwidth_case",
+                functools.partial(run_bandwidth_case, derived_tables=False),
+            )
+            legacy_serial = run_bandwidth_experiment(config, workers=1)
         derived_serial = run_bandwidth_experiment(config, workers=1)
         derived_parallel = run_bandwidth_experiment(config, workers=2)
         assert derived_serial.cases == legacy_serial.cases

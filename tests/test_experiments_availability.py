@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro.experiments.availability as availability
 from repro.errors import ConfigurationError
 from repro.experiments.availability import (
     AvailabilityExperimentResult,
@@ -153,23 +154,29 @@ class TestPairAvailability:
         assert math.isinf(deep.cvar[0][1])
 
     def test_batch_and_legacy_table_engines_bit_identical(
-        self, pair, tiny_config
+        self, pair, tiny_config, monkeypatch
     ):
         model = FailureModel(link_probability=0.2, cutoff=1e-4)
         batch = run_pair_availability(
-            pair, tiny_config, model, _UnitWorkload(), table_engine="batch"
+            pair, tiny_config, model, _UnitWorkload()
+        )
+
+        def legacy_tables(table_pre, scenario_set):
+            # Per-scenario folds of legacy per-column drops.
+            return [
+                table_pre if not s.failed
+                else None if s.severs_all(table_pre.n_alternatives)
+                else table_pre.without_alternatives(s.failed, engine="legacy")
+                for s in scenario_set.scenarios
+            ]
+
+        monkeypatch.setattr(
+            availability, "derive_scenario_tables", legacy_tables
         )
         legacy = run_pair_availability(
-            pair, tiny_config, model, _UnitWorkload(), table_engine="legacy"
+            pair, tiny_config, model, _UnitWorkload()
         )
         assert batch == legacy  # dataclass equality: exact floats
-
-    def test_unknown_table_engine_rejected(self, pair, tiny_config):
-        with pytest.raises(ConfigurationError, match="table_engine"):
-            run_pair_availability(
-                pair, tiny_config, FailureModel(), _UnitWorkload(),
-                table_engine="nope",
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +213,22 @@ class TestAvailabilitySweep:
             **_SWEEP_KW,
         )
         assert resumed.pairs == serial.pairs
+
+    @pytest.mark.parametrize("bad, name", [
+        (dict(link_probability=0.6), "link_probability"),
+        (dict(cutoff=2.0), "cutoff"),
+        (dict(max_failed=-1), "max_failed"),
+    ])
+    def test_bad_failure_model_rejected_before_any_unit(
+        self, tiny_config, monkeypatch, bad, name
+    ):
+        def no_unit(*args, **kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("a unit ran despite a bad failure model")
+
+        monkeypatch.setattr(availability, "run_pair_availability", no_unit)
+        kwargs = dict(_SWEEP_KW, **bad)
+        with pytest.raises(ConfigurationError, match=name):
+            run_availability_experiment(tiny_config, **kwargs)
 
     def test_srg_params_flow_through(self, tiny_config):
         result = run_availability_experiment(

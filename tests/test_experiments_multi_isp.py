@@ -134,6 +134,20 @@ class TestStopReason:
         assert claims["converged"] == "no (unrecorded)"
 
 
+class TestRoundsValidation:
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_non_positive_rounds_rejected(self, config, rounds):
+        # Zero rounds would enumerate no units and report an empty grid.
+        with pytest.raises(ConfigurationError, match="rounds"):
+            run_multi_isp_experiment(config, n_isps=3, rounds=rounds)
+
+    def test_cli_rejects_zero_rounds(self):
+        from repro.cli import main
+
+        with pytest.raises(ConfigurationError, match="rounds"):
+            main(["multi-isp", "--preset", "quick", "--rounds", "0"])
+
+
 class TestWorkerInvariance:
     def test_parallel_matches_serial(self, config, serial_result):
         parallel = run_multi_isp_experiment(
@@ -310,40 +324,11 @@ class TestCli:
 
 
 class TestScaleKnobThreading:
-    def test_transit_engines_sweep_bit_identical(self, config, serial_result):
-        legacy = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy"
-        )
-        # Equal content cell by cell; only the engine label itself may
-        # differ, and it is not part of the records.
-        assert legacy.records == serial_result.records
-        assert legacy.final_mel == serial_result.final_mel
-
-    def test_legacy_engine_checkpoint_resume(self, config, tmp_path):
-        checkpointed = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy",
-            checkpoint_dir=tmp_path / "ck",
-        )
-        resumed = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, transit_engine="legacy",
-            checkpoint_dir=tmp_path / "ck", resume=True,
-        )
-        assert resumed == checkpointed
-
     def test_coord_workers_sweep_bit_identical(self, config, serial_result):
         parallel = run_multi_isp_experiment(
             config, n_isps=3, rounds=3, coord_workers=2
         )
         assert parallel.records == serial_result.records
-
-    def test_bad_transit_engine_rejected(self, config):
-        from repro.errors import SweepUnitError
-
-        with pytest.raises(SweepUnitError, match="transit_engine"):
-            run_multi_isp_experiment(
-                config, n_isps=2, rounds=2, transit_engine="psychic",
-                max_retries=0,
-            )
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -21,9 +23,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.geo.cities import default_city_database
 from repro.geo.population import PopulationModel
 from repro.metrics.mel import max_excess_load
-from repro.routing.costs import build_pair_cost_table
+from repro.routing.costs import PairCostTable, build_pair_cost_table
 from repro.routing.exits import early_exit_choices
 from repro.routing.flows import build_full_flowset
+from repro.routing.paths import IntradomainRouting
 from repro.topology.generator import GeneratorConfig
 from repro.topology.internetwork import (
     Internetwork,
@@ -286,15 +289,15 @@ class TestDisconnectedInternetwork:
 
 
 class TestScaleSpineThreading:
-    def test_routing_engine_threaded_and_identical(self, config):
-        from dataclasses import replace
-
+    def test_routing_engine_threaded_and_identical(self, config, monkeypatch):
         fast = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
-        slow = MultiSessionCoordinator(
-            _net(2),
-            config=replace(config, routing_engine="legacy"),
-            max_rounds=4,
+        # The coordinator builds its routings with the csgraph default;
+        # the networkx reference is picked at the leaf constructor.
+        monkeypatch.setattr(
+            multi_session, "IntradomainRouting",
+            functools.partial(IntradomainRouting, engine="legacy"),
         )
+        slow = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
         assert all(r.engine == "csgraph" for r in fast._routings.values())
         assert all(r.engine == "legacy" for r in slow._routings.values())
         result_fast = fast.run()
@@ -304,6 +307,18 @@ class TestScaleSpineThreading:
         assert result_fast.final_mel == result_slow.final_mel
         for a, b in zip(result_fast.choices, result_slow.choices):
             assert np.array_equal(a, b)
+
+    def test_subset_reference_identical(self, config, monkeypatch):
+        net = _net(3)
+        kwargs = dict(config=config, max_rounds=6, transit_scale=3.0)
+        fast = MultiSessionCoordinator(net, **kwargs).run()
+        # The per-flow scope rebuild, picked at PairCostTable.subset.
+        monkeypatch.setattr(
+            PairCostTable, "subset",
+            functools.partialmethod(PairCostTable.subset, engine="legacy"),
+        )
+        slow = MultiSessionCoordinator(net, **kwargs).run()
+        assert _trajectory_signature(fast) == _trajectory_signature(slow)
 
     def test_optimal_edge_mel_probe(self, config):
         coordinator = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
@@ -410,13 +425,8 @@ class TestColoredSchedule:
 
     def test_instrumentation_populated(self, chain3_result):
         for round_ in chain3_result.rounds:
-            assert len(round_.color_timings) == len(round_.color_schedule)
-            assert all(t >= 0.0 for t in round_.color_timings)
-            assert sorted(round_.edge_timings) == sorted(round_.order)
+            assert sorted(round_.order) == [0, 1]
             assert round_.potential == round_.global_mel + round_.n_changed
-        summary = chain3_result.timing_summary()
-        assert sorted(summary["per_edge"]) == [0, 1]
-        assert len(summary["per_round_colors"]) == len(chain3_result.rounds)
 
     def test_potential_trajectory_tracks_rounds(self, chain3_result):
         trajectory = chain3_result.potential_trajectory()
@@ -782,9 +792,6 @@ class TestSingleIspRegression:
         assert result.rounds == []
         assert result.n_colors == 0
         assert result.potential_trajectory() == []
-        assert result.timing_summary() == {
-            "per_edge": {}, "per_round_colors": [],
-        }
 
 
 def _check_mels_every_slot(coordinator, monkeypatch):

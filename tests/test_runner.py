@@ -7,11 +7,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.baselines.grouped import grouped_negotiation_choices
+from repro.core.mapping import AutoScaleDeltaMapper
+from repro.core.preferences import PreferenceRange
 from repro.errors import ConfigurationError
-from repro.experiments.bandwidth import run_bandwidth_experiment
+from repro.experiments.bandwidth import (
+    run_bandwidth_experiment,
+    run_pair_cases,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.distance import (
+    build_distance_problem,
     run_distance_experiment,
+    run_distance_pair,
     run_grouped_ablation,
 )
 from repro.experiments.parallel import pairs_for
@@ -25,6 +33,10 @@ from repro.experiments.runner import (
     scenario_names,
     sweep_fingerprint,
 )
+from repro.geo.population import PopulationModel
+from repro.metrics.distance import percent_gain
+from repro.traffic.gravity import GravityWorkload
+from repro.util.rng import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -56,18 +68,21 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Legacy equivalence: runner output bit-identical to the pre-runner drivers
+# Legacy equivalence: runner output bit-identical to plain serial loops over
+# the per-unit functions (the pre-runner driver loops)
 # ---------------------------------------------------------------------------
 
 
 class TestLegacyEquivalence:
     def test_distance(self, tiny_config):
         sweep = run_distance_experiment(tiny_config, include_cheating=True)
-        legacy = run_distance_experiment(
-            tiny_config, include_cheating=True, runner="legacy"
-        )
-        assert len(sweep.pairs) == len(legacy.pairs) > 0
-        for s, l in zip(sweep.pairs, legacy.pairs):
+        _, pairs = pairs_for(tiny_config, 2, tiny_config.max_pairs_distance)
+        legacy_pairs = [
+            run_distance_pair(pair, tiny_config, include_cheating=True)
+            for pair in pairs
+        ]
+        assert len(sweep.pairs) == len(legacy_pairs) > 0
+        for s, l in zip(sweep.pairs, legacy_pairs):
             assert s.pair_name == l.pair_name
             assert s.total_gain_optimal == l.total_gain_optimal
             assert s.total_gain_negotiated == l.total_gain_negotiated
@@ -79,25 +94,43 @@ class TestLegacyEquivalence:
 
     def test_bandwidth(self, tiny_config):
         sweep = run_bandwidth_experiment(tiny_config, include_unilateral=True)
-        legacy = run_bandwidth_experiment(
-            tiny_config, include_unilateral=True, runner="legacy"
+        dataset, pairs = pairs_for(
+            tiny_config, 3, tiny_config.max_pairs_bandwidth
         )
-        assert len(sweep.cases) == len(legacy.cases) > 0
-        assert sweep.cases == legacy.cases  # whole dataclasses, bit-exact
+        workload = GravityWorkload(PopulationModel(dataset.city_db))
+        legacy_cases = [
+            case
+            for pair in pairs
+            for case in run_pair_cases(
+                pair, tiny_config, {"include_unilateral": True}, workload
+            )
+        ]
+        assert len(sweep.cases) == len(legacy_cases) > 0
+        assert sweep.cases == legacy_cases  # whole dataclasses, bit-exact
 
     def test_grouped(self, tiny_config):
         _, pairs = pairs_for(tiny_config, 2, tiny_config.max_pairs_distance)
-        sweep = run_grouped_ablation(pairs[0], [1, 3], tiny_config)
-        legacy = run_grouped_ablation(
-            pairs[0], [1, 3], tiny_config, runner="legacy"
-        )
+        pair = pairs[0]
+        sweep = run_grouped_ablation(pair, [1, 3], tiny_config)
+        p_range = PreferenceRange(tiny_config.preference_p)
+        problem = build_distance_problem(pair)
+        tot_def, _, _ = problem.totals(problem.defaults)
+        legacy = {}
+        for n_groups in (1, 3):
+            choices = grouped_negotiation_choices(
+                problem.cost_a,
+                problem.cost_b,
+                problem.defaults,
+                AutoScaleDeltaMapper(p_range),
+                AutoScaleDeltaMapper(p_range),
+                n_groups=n_groups,
+                seed=derive_rng(
+                    tiny_config.seed, "grouped", pair.name, n_groups
+                ),
+            )
+            tot, _, _ = problem.totals(choices)
+            legacy[n_groups] = percent_gain(tot_def, tot)
         assert sweep == legacy
-
-    def test_unknown_runner_rejected(self, tiny_config):
-        with pytest.raises(ConfigurationError, match="unknown runner"):
-            run_distance_experiment(tiny_config, runner="turbo")
-        with pytest.raises(ConfigurationError, match="unknown runner"):
-            run_bandwidth_experiment(tiny_config, runner="turbo")
 
 
 # ---------------------------------------------------------------------------

@@ -476,19 +476,15 @@ class TestSolverInjection:
 
 
 class TestConfigThreading:
-    def test_config_validates_solver_and_engine(self):
+    def test_config_validates_solver(self):
         with pytest.raises(ConfigurationError, match="lp_solver"):
             ExperimentConfig(lp_solver="gurobi")
-        with pytest.raises(ConfigurationError, match="routing_engine"):
-            ExperimentConfig(routing_engine="bfs")
-        config = ExperimentConfig(lp_solver="highs-ds", routing_engine="legacy")
+        config = ExperimentConfig(lp_solver="highs-ds")
         assert config.lp_solver == "highs-ds"
-        assert config.routing_engine == "legacy"
 
     def test_quick_defaults(self):
         config = ExperimentConfig.quick()
         assert config.lp_solver == DEFAULT_LP_SOLVER
-        assert config.routing_engine == "csgraph"
 
 
 # ---------------------------------------------------------------------------
