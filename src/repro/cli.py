@@ -12,7 +12,7 @@
     python -m repro robust --preset quick --fault-seeds 0,1,2 \\
         --abort-rate 0.15 --tail-weight 0.5
     python -m repro sweep oscillation --preset quick
-    python -m repro sweep multi_isp --preset quick --workers 2 \\
+    python -m repro sweep multi_isp --preset quick \\
         --checkpoint-dir ckpt/ --resume
     python -m repro sweep bandwidth --preset paper --workers -1 \\
         --checkpoint-dir ckpt/ --resume
@@ -33,11 +33,13 @@ registered scenario — ``distance``, ``bandwidth``, ``oscillation``,
 ``destination``, ``multi_isp``, ``robust_negotiation`` — and prints its
 summary claims.
 
-``multi-isp`` runs the multi-ISP coordination sweep (chain / ring /
-random internetworks; chained pairwise sessions with transit background)
-and prints the per-round convergence trajectory. ``robust`` compares
-nominal-only against CVaR-aware agents across seeded fault plans
-(session aborts, deadlines, link failures) and prints the
+``multi-isp`` runs one multi-ISP coordination (chain / ring / random
+internetworks; chained pairwise sessions with transit background) and
+prints the per-round convergence trajectory. The coordination is a
+single sequential unit, so the command takes no ``--workers``;
+``--coord-workers`` runs each color class's sessions in parallel.
+``robust`` compares nominal-only against CVaR-aware agents across seeded
+fault plans (session aborts, deadlines, link failures) and prints the
 expected/VaR/CVaR MEL deltas.
 """
 
@@ -88,10 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LP backend for every solved LP "
                             "(default: highs; see repro.optimal.solver)")
 
-    def add_runner(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker processes (default: serial; "
-                            "-1 = one per CPU)")
+    def add_runner(p: argparse.ArgumentParser, workers: bool = True) -> None:
+        if workers:
+            p.add_argument("--workers", type=int, default=None,
+                           help="parallel worker processes (default: "
+                                "serial; -1 = one per CPU)")
         p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="persist per-unit result shards under DIR "
                             "(keyed by the sweep's config fingerprint)")
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chained pairwise negotiation over a multi-ISP internetwork",
     )
     add_preset(p_multi)
-    add_runner(p_multi)
+    add_runner(p_multi, workers=False)
     p_multi.add_argument("--isps", type=int, default=4, metavar="N",
                          help="how many ISPs (default: 4)")
     p_multi.add_argument("--shape", choices=("chain", "ring", "random"),
@@ -263,13 +266,15 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _runner_kwargs(args: argparse.Namespace) -> dict:
-    return dict(
-        workers=args.workers,
+    kwargs = dict(
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
     )
+    if "workers" in args:
+        kwargs["workers"] = args.workers
+    return kwargs
 
 
 def _run_distance(args: argparse.Namespace, out) -> int:
@@ -436,19 +441,13 @@ def _run_multi_isp(args: argparse.Namespace, out) -> int:
     transit_note = "no transit" if args.no_transit else "with transit"
     print(f"initial global MEL ({transit_note}): {result.initial_mel:.4f}",
           file=out)
-    for round_index in range(result.n_rounds):
-        records = result.round_records(round_index)
-        if not records or not records[0].executed_round:
-            break
-        sessions = sum(r.ran_session for r in records)
-        moved = sum(r.n_changed for r in records)
-        print(f"  round {round_index}: {sessions} sessions, "
-              f"{moved} flows moved, "
-              f"global MEL {records[-1].global_mel:.4f}", file=out)
-    converged = result.converged_round()
+    for round_ in result.rounds:
+        print(f"  round {round_.round_index}: {round_.n_sessions} sessions, "
+              f"{round_.n_changed} flows moved, "
+              f"global MEL {round_.global_mel:.4f}", file=out)
     claims = [
-        ("converged", "yes" if converged is not None else
-         f"no ({result.stop_reason or 'unrecorded'})"),
+        ("converged", "yes" if result.converged else
+         f"no ({result.stop_reason})"),
         ("global MEL initial -> final",
          f"{result.initial_mel:.4f} -> {result.final_mel:.4f}"),
     ]

@@ -1057,30 +1057,41 @@ class MultiSessionCoordinator:
             backoff,
         )
 
+    def _side_scenario_mels(
+        self, edge_index: int, choices: np.ndarray,
+        base_a: np.ndarray, base_b: np.ndarray,
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per endpoint (a, b): a placement's scenario probs and MELs."""
+        work_table, _ = self._working(edge_index)
+        sub_choices = self._inverse_keep(edge_index)[choices]
+        scenario_set = self._edge_scenarios(edge_index)
+        edge = self.net.edges[edge_index]
+        return [
+            scenario_placement_mels(
+                work_table, sub_choices, side, self._caps[isp],
+                scenario_set, base=base,
+            )
+            for side, base, isp in (
+                ("a", base_a, edge.isp_a.name),
+                ("b", base_b, edge.isp_b.name),
+            )
+        ]
+
     def _edge_cvars(
         self, edge_index: int, choices: np.ndarray,
         base_a: np.ndarray, base_b: np.ndarray,
     ) -> tuple[float, float]:
         """Both endpoints' CVaR_q own-network MELs for a placement."""
-        work_table, _ = self._working(edge_index)
-        sub_choices = self._inverse_keep(edge_index)[choices]
-        scenario_set = self._edge_scenarios(edge_index)
-        edge = self.net.edges[edge_index]
-        cvars = []
-        for side, base, isp in (
-            ("a", base_a, edge.isp_a.name),
-            ("b", base_b, edge.isp_b.name),
-        ):
-            probs, mels = scenario_placement_mels(
-                work_table, sub_choices, side, self._caps[isp],
-                scenario_set, base=base,
+        coverage = self._edge_scenarios(edge_index).coverage
+        cvar_a, cvar_b = (
+            conditional_value_at_risk(
+                probs, mels, coverage, self.tail_quantile
             )
-            cvars.append(
-                conditional_value_at_risk(
-                    probs, mels, scenario_set.coverage, self.tail_quantile
-                )
+            for probs, mels in self._side_scenario_mels(
+                edge_index, choices, base_a, base_b
             )
-        return cvars[0], cvars[1]
+        )
+        return cvar_a, cvar_b
 
     def risk_report(self) -> list[dict]:
         """Per-edge tail-risk assessment of the current placements.
@@ -1095,49 +1106,34 @@ class MultiSessionCoordinator:
             raise ConfigurationError(
                 "risk_report requires the coordinator's failure_model"
             )
+        q = self.tail_quantile
         report = []
         for edge_index, edge in enumerate(self.net.edges):
             base_a = self._isp_loads(edge.isp_a.name, exclude_edge=edge_index)
             base_b = self._isp_loads(edge.isp_b.name, exclude_edge=edge_index)
-            work_table, _ = self._working(edge_index)
-            scenario_set = self._edge_scenarios(edge_index)
-            sub_choices = self._inverse_keep(edge_index)[
-                self._choices[edge_index]
-            ]
-            nominal = self._edge_mels(
-                edge_index, self._choices[edge_index], base_a, base_b
+            choices = self._choices[edge_index]
+            coverage = self._edge_scenarios(edge_index).coverage
+            sides = self._side_scenario_mels(
+                edge_index, choices, base_a, base_b
             )
-            entry = {
+            report.append({
                 "edge": edge.name,
                 "severed": tuple(sorted(self._severed[edge_index])),
-                "nominal": nominal,
-            }
-            for metric in ("expected", "var", "cvar"):
-                entry[metric] = []
-            for side, base, isp in (
-                ("a", base_a, edge.isp_a.name),
-                ("b", base_b, edge.isp_b.name),
-            ):
-                probs, mels = scenario_placement_mels(
-                    work_table, sub_choices, side, self._caps[isp],
-                    scenario_set, base=base,
-                )
-                entry["expected"].append(expected_mel(probs, mels))
-                entry["var"].append(
-                    value_at_risk(
-                        probs, mels, scenario_set.coverage,
-                        self.tail_quantile,
-                    )
-                )
-                entry["cvar"].append(
-                    conditional_value_at_risk(
-                        probs, mels, scenario_set.coverage,
-                        self.tail_quantile,
-                    )
-                )
-            for metric in ("expected", "var", "cvar"):
-                entry[metric] = tuple(entry[metric])
-            report.append(entry)
+                "nominal": self._edge_mels(
+                    edge_index, choices, base_a, base_b
+                ),
+                "expected": tuple(
+                    expected_mel(probs, mels) for probs, mels in sides
+                ),
+                "var": tuple(
+                    value_at_risk(probs, mels, coverage, q)
+                    for probs, mels in sides
+                ),
+                "cvar": tuple(
+                    conditional_value_at_risk(probs, mels, coverage, q)
+                    for probs, mels in sides
+                ),
+            })
         return report
 
     # -- the coordination loop -------------------------------------------------

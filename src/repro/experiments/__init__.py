@@ -23,8 +23,6 @@ from repro.experiments.distance import (
     run_grouped_ablation,
 )
 from repro.experiments.internetwork import (
-    MultiIspExperimentResult,
-    MultiIspUnitRecord,
     run_multi_isp,
     run_multi_isp_experiment,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "run_oscillation_pair",
     "run_oscillation_experiment",
     "simulate_best_response",
-    "MultiIspUnitRecord",
-    "MultiIspExperimentResult",
     "run_multi_isp",
     "run_multi_isp_experiment",
     "ScenarioSpec",

@@ -244,16 +244,21 @@ class CheckpointStore:
                     f"unreadable checkpoint manifest {manifest_path}: {exc}"
                 ) from exc
             if resume:
-                stale = (
-                    manifest.get("fingerprint") != self.fingerprint
-                    or manifest.get("n_units") != n_units
-                )
-                if stale:
+                mismatch = None
+                if manifest.get("fingerprint") != self.fingerprint:
+                    mismatch = (
+                        f"fingerprint {manifest.get('fingerprint')!r} != "
+                        f"{self.fingerprint!r}"
+                    )
+                elif manifest.get("n_units") != n_units:
+                    mismatch = (
+                        f"stored unit count {manifest.get('n_units')!r} "
+                        f"!= current {n_units}"
+                    )
+                if mismatch is not None:
                     raise ConfigurationError(
                         f"checkpoint directory {self.dir} holds a different "
-                        f"sweep (fingerprint "
-                        f"{manifest.get('fingerprint')!r} != "
-                        f"{self.fingerprint!r}); refusing to resume — "
+                        f"sweep ({mismatch}); refusing to resume — "
                         "point --checkpoint-dir elsewhere or drop --resume "
                         "to start fresh"
                     )

@@ -1,4 +1,5 @@
-"""Shared fixtures: small deterministic topologies, pairs, and datasets."""
+"""Shared fixtures (small deterministic topologies, pairs, datasets) and
+the coordination-result comparison helper."""
 
 from __future__ import annotations
 
@@ -22,6 +23,41 @@ def pytest_configure(config):
         "bench_smoke: one-shot exercise of the perf-critical kernels "
         "(no timing statistics); run just these with -m bench_smoke",
     )
+
+
+def _trajectory_signature(result):
+    """Everything a coordination run observably produced, comparable.
+
+    ``MultiNegotiationResult.__eq__`` cannot compare its ndarray lists,
+    so bit-identity tests diff this tuple instead.
+    """
+    rounds = [
+        (
+            round_.round_index,
+            round_.order,
+            round_.color_schedule,
+            [
+                (
+                    r.round_index, r.slot, r.edge_index, r.pair_name,
+                    r.scope_size, r.ran_session, r.adopted, r.n_changed,
+                    tuple(r.mel_per_isp), r.global_mel, r.fault,
+                    r.n_rerouted,
+                )
+                for r in round_.records
+            ],
+        )
+        for round_ in result.rounds
+    ]
+    return (
+        result.stop_reason, result.converged, result.n_colors, rounds,
+        [tuple(c) for c in result.choices],
+    )
+
+
+@pytest.fixture(scope="session")
+def trajectory_signature():
+    """The coordination-result comparison helper, shared by test modules."""
+    return _trajectory_signature
 
 
 @pytest.fixture(scope="session")

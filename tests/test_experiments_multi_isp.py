@@ -1,15 +1,21 @@
-"""The multi_isp sweep: worker invariance, checkpoint/resume, CLI."""
+"""The multi_isp sweep: one unit per coordination, checkpoint/resume, CLI."""
 
 from __future__ import annotations
 
+import pickle
+import re
+
 import pytest
 
+from repro.core.multi_session import (
+    CoordinationRound,
+    EdgeSessionRecord,
+    MultiNegotiationResult,
+)
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.internetwork import (
     MULTI_ISP_SCENARIO,
-    MultiIspExperimentResult,
-    MultiIspUnitRecord,
     run_multi_isp,
     run_multi_isp_experiment,
 )
@@ -26,69 +32,66 @@ def serial_result(config):
     return run_multi_isp_experiment(config, n_isps=3, rounds=3)
 
 
+@pytest.fixture(scope="module")
+def direct_signature(config, trajectory_signature):
+    return trajectory_signature(run_multi_isp(config, n_isps=3, max_rounds=3))
+
+
 _PARAMS = dict(MULTI_ISP_SCENARIO.default_params)
 _PARAMS.update(n_isps=3, rounds=3)
 
 
-class TestAggregate:
-    def test_grid_shape(self, serial_result):
-        result = serial_result
-        assert result.n_rounds == 3
-        assert len(result.records) == 3 * len(result.edge_names)
-        assert len(result.mel_trajectory()) == 3
+def _store(path, config):
+    return CheckpointStore(
+        path, "multi_isp", sweep_fingerprint("multi_isp", config, _PARAMS)
+    )
 
+
+class TestAggregate:
     def test_trajectory_reports_relief(self, serial_result):
         result = serial_result
         assert result.initial_mel > 0
         assert result.final_mel <= result.initial_mel
-        assert result.total_sessions() >= len(result.edge_names)
-
-    def test_convergence_padding(self, serial_result):
-        # The coordination converges before the round budget; the padded
-        # cells are no-ops that carry the final state.
-        result = serial_result
-        converged = result.converged_round()
-        assert converged is not None
-        tail = [r for r in result.records if not r.executed_round]
-        for record in tail:
-            assert not record.ran_session
-            assert record.n_changed == 0
-            assert record.global_mel == result.final_mel
+        sessions = sum(round_.n_sessions for round_ in result.rounds)
+        assert sessions >= len(result.edge_names)
 
     def test_summary_claims(self, serial_result):
         claims = dict(MULTI_ISP_SCENARIO.summarize(serial_result))
-        assert "global MEL trajectory" in claims
-        assert "->" in claims["global MEL trajectory"]
+        # Executed rounds only: the run converged in round 1 of 3.
+        assert claims["global MEL trajectory"] == "1.613 -> 1.375 -> 1.375"
+        assert claims["converged"] == "after round 1"
 
     def test_records_carry_stop_reason(self, serial_result):
         assert serial_result.stop_reason == "converged"
-        assert {r.stop_reason for r in serial_result.records} == {
-            "converged"
-        }
+        assert serial_result.converged
 
 
 def _stopped_early(stop_reason):
-    """A synthesized 2-edge, 3-round grid that stopped after round 1.
+    """A synthesized 2-edge coordination that stopped after round 1.
 
-    Both executed rounds moved flows, so the grid never converged; the
+    Both executed rounds moved flows, so the run never converged; the
     stop reason alone says why it ended.
     """
-    records = []
-    for round_index in range(3):
-        executed = round_index < 2
-        for edge in range(2):
-            records.append(MultiIspUnitRecord(
-                round_index=round_index, slot=edge, edge_index=edge,
-                pair_name=f"p{edge}", scope_size=int(executed),
-                ran_session=executed, adopted=executed,
-                n_changed=int(executed),
-                mel_per_isp=(0.5, 0.5, 0.5), global_mel=0.5,
-                executed_round=executed, initial_global_mel=0.7,
-                stop_reason=stop_reason,
-            ))
-    return MultiIspExperimentResult(
-        isp_names=("x", "y", "z"), edge_names=("p0", "p1"), n_rounds=3,
-        initial_mel=0.7, records=records,
+    rounds = [
+        CoordinationRound(
+            round_index=round_index,
+            order=(0, 1),
+            records=[
+                EdgeSessionRecord(
+                    round_index=round_index, slot=edge, edge_index=edge,
+                    pair_name=f"p{edge}", scope_size=1, ran_session=True,
+                    adopted=True, n_changed=1,
+                    mel_per_isp=(0.5, 0.5, 0.5), global_mel=0.5,
+                )
+                for edge in range(2)
+            ],
+        )
+        for round_index in range(2)
+    ]
+    return MultiNegotiationResult(
+        isp_names=("x", "y", "z"), edge_names=("p0", "p1"), rounds=rounds,
+        converged=False, initial_mel_per_isp=(0.7, 0.6, 0.5),
+        choices=[], defaults=[], stop_reason=stop_reason,
     )
 
 
@@ -97,10 +100,9 @@ class TestStopReason:
 
     def test_summary_reports_oscillating(self):
         result = _stopped_early("oscillating")
-        assert result.converged_round() is None
-        assert result.stop_reason == "oscillating"
         claims = dict(MULTI_ISP_SCENARIO.summarize(result))
         assert claims["converged"] == "no (oscillating)"
+        assert claims["global MEL trajectory"] == "0.700 -> 0.500 -> 0.500"
 
     def test_cli_reports_oscillating(self, capsys, monkeypatch):
         import repro.experiments.internetwork as internetwork
@@ -118,26 +120,11 @@ class TestStopReason:
         assert "measured: no (oscillating)" in out
         assert "round limit" not in out
 
-    def test_records_without_the_field_load_as_unrecorded(self):
-        import pickle
-
-        result = _stopped_early("max_rounds")
-        for record in result.records:
-            # Shards pickled before the field existed carry no entry
-            # for it; unpickling falls back to the class default.
-            object.__delattr__(record, "stop_reason")
-        result.records = [
-            pickle.loads(pickle.dumps(record)) for record in result.records
-        ]
-        assert result.stop_reason is None
-        claims = dict(MULTI_ISP_SCENARIO.summarize(result))
-        assert claims["converged"] == "no (unrecorded)"
-
 
 class TestRoundsValidation:
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_non_positive_rounds_rejected(self, config, rounds):
-        # Zero rounds would enumerate no units and report an empty grid.
+        # Zero rounds would run nothing and report the initial state.
         with pytest.raises(ConfigurationError, match="rounds"):
             run_multi_isp_experiment(config, n_isps=3, rounds=rounds)
 
@@ -147,48 +134,49 @@ class TestRoundsValidation:
         with pytest.raises(ConfigurationError, match="rounds"):
             main(["multi-isp", "--preset", "quick", "--rounds", "0"])
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n_isps": 3, "rounds": 1},
+        {"n_isps": 6, "shape": "random", "rounds": 12},
+        {"n_isps": 4, "shape": "ring", "order": "random"},
+    ])
+    def test_one_unit_per_coordination(self, config, overrides):
+        params = {**MULTI_ISP_SCENARIO.default_params, **overrides}
+        units = MULTI_ISP_SCENARIO.enumerate_units(config, params)
+        assert len(units) == 1
+
 
 class TestWorkerInvariance:
-    def test_parallel_matches_serial(self, config, serial_result):
-        parallel = run_multi_isp_experiment(
-            config, n_isps=3, rounds=3, workers=2
-        )
-        assert parallel == serial_result
+    """Serial, checkpointed and resumed runs return the same coordination."""
 
     def test_checkpoint_then_resume_bit_identical(
-        self, config, serial_result, tmp_path
+        self, config, direct_signature, trajectory_signature, tmp_path
     ):
         checkpointed = run_multi_isp_experiment(
             config, n_isps=3, rounds=3, checkpoint_dir=tmp_path / "ck"
         )
-        assert checkpointed == serial_result
+        assert trajectory_signature(checkpointed) == direct_signature
+        assert _store(tmp_path / "ck", config).completed(1) == {0}
         resumed = run_multi_isp_experiment(
             config, n_isps=3, rounds=3,
             checkpoint_dir=tmp_path / "ck", resume=True,
         )
-        assert resumed == serial_result
+        assert trajectory_signature(resumed) == direct_signature
 
     def test_interrupt_then_resume_bit_identical(
-        self, config, serial_result, tmp_path
+        self, config, direct_signature, trajectory_signature, tmp_path
     ):
-        """Losing arbitrary shards must recompute them bit-identically."""
+        """Losing the shard must recompute it bit-identically."""
         run_multi_isp_experiment(
             config, n_isps=3, rounds=3, checkpoint_dir=tmp_path / "ck"
         )
-        store = CheckpointStore(
-            tmp_path / "ck", "multi_isp",
-            sweep_fingerprint("multi_isp", config, _PARAMS),
-        )
-        n_units = len(serial_result.records)
-        assert store.completed(n_units) == set(range(n_units))
-        # Simulate an interrupt that lost the first and last shards.
-        store.shard_path(0).unlink()
-        store.shard_path(n_units - 1).unlink()
+        # Simulate an interrupt before the one shard landed.
+        _store(tmp_path / "ck", config).shard_path(0).unlink()
         resumed = run_multi_isp_experiment(
             config, n_isps=3, rounds=3,
             checkpoint_dir=tmp_path / "ck", resume=True,
         )
-        assert resumed == serial_result
+        assert trajectory_signature(resumed) == direct_signature
 
     def test_stale_fingerprint_refuses_resume(self, config, tmp_path):
         run_multi_isp_experiment(
@@ -200,6 +188,35 @@ class TestWorkerInvariance:
                 checkpoint_dir=tmp_path / "ck", resume=True,
             )
 
+    def test_grid_checkpoint_refuses_resume_by_unit_count(
+        self, config, tmp_path
+    ):
+        # A checkpoint of the same params laid out as one unit per
+        # (edge, round) cell: 2 edges x 3 rounds.
+        _store(tmp_path / "ck", config).prepare(6, resume=False)
+        with pytest.raises(
+            ConfigurationError, match="stored unit count 6 != current 1"
+        ):
+            run_multi_isp_experiment(
+                config, n_isps=3, rounds=3,
+                checkpoint_dir=tmp_path / "ck", resume=True,
+            )
+
+    def test_foreign_shard_refuses_resume(self, config, tmp_path):
+        store = _store(tmp_path / "ck", config)
+        store.prepare(1, resume=False)
+        # A readable shard that is not a coordination result, e.g. one
+        # record of an older single-unit layout.
+        with store.shard_path(0).open("wb") as fh:
+            pickle.dump({"round_index": 0, "edge_index": 0}, fh)
+        with pytest.raises(
+            ConfigurationError, match="holds a dict.*without --resume"
+        ):
+            run_multi_isp_experiment(
+                config, n_isps=3, rounds=3,
+                checkpoint_dir=tmp_path / "ck", resume=True,
+            )
+
 
 class TestRunMultiIsp:
     def test_direct_runner_matches_coordinator_defaults(self, config):
@@ -208,15 +225,13 @@ class TestRunMultiIsp:
         assert result.n_rounds() >= 1
 
     def test_direct_and_sweep_defaults_are_the_same_scenario(
-        self, config, serial_result
+        self, serial_result, direct_signature, trajectory_signature
     ):
         # Both entry points must use the registered scenario defaults
-        # (notably transit_scale), not the coordinator's bare defaults.
-        direct = run_multi_isp(config, n_isps=3, max_rounds=3)
-        assert direct.initial_mel == serial_result.initial_mel
-        grid_trajectory = serial_result.mel_trajectory()
-        for round_index, mel in enumerate(direct.mel_trajectory()):
-            assert mel == grid_trajectory[round_index]
+        # (notably transit_scale), not the coordinator's bare defaults,
+        # and the sweep returns the coordination's own result type.
+        assert isinstance(serial_result, MultiNegotiationResult)
+        assert trajectory_signature(serial_result) == direct_signature
 
     def test_peering_probability_forwarded(self, config):
         """Regression: density knobs must reach the internetwork build."""
@@ -251,36 +266,27 @@ class TestRunMultiIsp:
         """The sweep's N=2 chain is one session then a convergence skip."""
         result = run_multi_isp_experiment(config, n_isps=2, rounds=2)
         assert len(result.edge_names) == 1
-        first, second = result.round_records(0)[0], result.round_records(1)[0]
+        (first,), (second,) = (round_.records for round_ in result.rounds)
         assert first.ran_session and first.adopted
         assert not second.ran_session
+        assert result.converged
 
 
-@pytest.mark.slow
-class TestSlowConvergenceSweeps:
-    """Larger internetworks; deselected from tier-1 (run with -m slow)."""
+class TestConvergenceSweeps:
+    """Five-ISP random and four-ISP ring internetworks, run to a fixed point."""
 
     def test_random_graph_convergence(self, config):
         result = run_multi_isp_experiment(
             config, n_isps=5, shape="random", rounds=8,
         )
-        assert result.converged_round() is not None
+        assert result.converged
         assert result.final_mel <= result.initial_mel
 
     def test_ring_randomized_order(self, config):
         result = run_multi_isp_experiment(
             config, n_isps=4, shape="ring", rounds=8, order="random",
         )
-        assert result.converged_round() is not None
-
-    def test_worker_invariance_at_scale(self, config):
-        serial = run_multi_isp_experiment(
-            config, n_isps=5, shape="random", rounds=6
-        )
-        parallel = run_multi_isp_experiment(
-            config, n_isps=5, shape="random", rounds=6, workers=3
-        )
-        assert serial == parallel
+        assert result.converged
 
 
 class TestCli:
@@ -306,6 +312,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "initial global MEL (no transit)" in out
 
+    def test_round_lines_match_the_coordination(self, capsys, config):
+        from repro.cli import main
+
+        assert main([
+            "multi-isp", "--preset", "quick", "--isps", "5",
+            "--shape", "random", "--rounds", "8",
+        ]) == 0
+        lines = re.findall(
+            r"^  round (\d+): (\d+) sessions, (\d+) flows moved, "
+            r"global MEL (\S+)$",
+            capsys.readouterr().out, flags=re.MULTILINE,
+        )
+        direct = run_multi_isp(
+            config, n_isps=5, shape="random", max_rounds=8
+        )
+        assert len(direct.rounds) > 1
+        assert lines == [
+            (
+                str(round_.round_index), str(round_.n_sessions),
+                str(round_.n_changed), f"{round_.global_mel:.4f}",
+            )
+            for round_ in direct.rounds
+        ]
+
     def test_sweep_multi_isp_command(self, capsys, tmp_path):
         from repro.cli import main
 
@@ -324,11 +354,13 @@ class TestCli:
 
 
 class TestScaleKnobThreading:
-    def test_coord_workers_sweep_bit_identical(self, config, serial_result):
+    def test_coord_workers_sweep_bit_identical(
+        self, config, direct_signature, trajectory_signature
+    ):
         parallel = run_multi_isp_experiment(
             config, n_isps=3, rounds=3, coord_workers=2
         )
-        assert parallel.records == serial_result.records
+        assert trajectory_signature(parallel) == direct_signature
 
 
 @pytest.mark.slow

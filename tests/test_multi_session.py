@@ -308,7 +308,9 @@ class TestScaleSpineThreading:
         for a, b in zip(result_fast.choices, result_slow.choices):
             assert np.array_equal(a, b)
 
-    def test_subset_reference_identical(self, config, monkeypatch):
+    def test_subset_reference_identical(
+        self, config, monkeypatch, trajectory_signature
+    ):
         net = _net(3)
         kwargs = dict(config=config, max_rounds=6, transit_scale=3.0)
         fast = MultiSessionCoordinator(net, **kwargs).run()
@@ -318,7 +320,7 @@ class TestScaleSpineThreading:
             functools.partialmethod(PairCostTable.subset, engine="legacy"),
         )
         slow = MultiSessionCoordinator(net, **kwargs).run()
-        assert _trajectory_signature(fast) == _trajectory_signature(slow)
+        assert trajectory_signature(fast) == trajectory_signature(slow)
 
     def test_optimal_edge_mel_probe(self, config):
         coordinator = MultiSessionCoordinator(_net(2), config=config, max_rounds=4)
@@ -338,31 +340,6 @@ class TestScaleSpineThreading:
             mels[names.index(edge.isp_b.name)],
         )
         assert t <= coordinated + 1e-9
-
-
-def _trajectory_signature(result):
-    """Everything a run observably produced, for bit-identity diffs."""
-    rounds = [
-        (
-            round_.round_index,
-            round_.order,
-            round_.color_schedule,
-            [
-                (
-                    r.round_index, r.slot, r.edge_index, r.pair_name,
-                    r.scope_size, r.ran_session, r.adopted, r.n_changed,
-                    tuple(r.mel_per_isp), r.global_mel, r.fault,
-                    r.n_rerouted,
-                )
-                for r in round_.records
-            ],
-        )
-        for round_ in result.rounds
-    ]
-    return (
-        result.stop_reason, result.converged, result.n_colors, rounds,
-        [tuple(c) for c in result.choices],
-    )
 
 
 class TestScaleKnobValidation:
@@ -441,7 +418,9 @@ class TestWorkerDifferential:
     """Colored-parallel execution must be bit-identical to serial."""
 
     @pytest.mark.parametrize("shape", ["chain", "ring", "random"])
-    def test_workers_match_serial(self, config, shape):
+    def test_workers_match_serial(
+        self, config, shape, trajectory_signature
+    ):
         net = _net(4, shape=shape)
         serial = MultiSessionCoordinator(
             net, config=config, max_rounds=6, transit_scale=3.0,
@@ -451,10 +430,12 @@ class TestWorkerDifferential:
                 net, config=config, max_rounds=6, transit_scale=3.0,
                 coord_workers=workers,
             ).run()
-            assert _trajectory_signature(parallel) == \
-                _trajectory_signature(serial)
+            assert trajectory_signature(parallel) == \
+                trajectory_signature(serial)
 
-    def test_random_order_matches_serial(self, config):
+    def test_random_order_matches_serial(
+        self, config, trajectory_signature
+    ):
         net = _net(4, shape="ring")
         kwargs = dict(
             config=config, max_rounds=6, transit_scale=3.0,
@@ -464,15 +445,17 @@ class TestWorkerDifferential:
         parallel = MultiSessionCoordinator(
             net, coord_workers=2, **kwargs
         ).run()
-        assert _trajectory_signature(parallel) == \
-            _trajectory_signature(serial)
+        assert trajectory_signature(parallel) == \
+            trajectory_signature(serial)
 
 
 class TestTransitEngines:
     """incremental and legacy transit backends are pinned bit-identical."""
 
     @pytest.mark.parametrize("shape", ["chain", "random"])
-    def test_engines_bit_identical(self, config, shape):
+    def test_engines_bit_identical(
+        self, config, shape, trajectory_signature
+    ):
         net = _net(4, shape=shape)
         kwargs = dict(config=config, max_rounds=6, transit_scale=3.0)
         incremental = MultiSessionCoordinator(
@@ -481,10 +464,12 @@ class TestTransitEngines:
         legacy = MultiSessionCoordinator(
             net, transit_engine="legacy", **kwargs
         ).run()
-        assert _trajectory_signature(incremental) == \
-            _trajectory_signature(legacy)
+        assert trajectory_signature(incremental) == \
+            trajectory_signature(legacy)
 
-    def test_engines_bit_identical_under_severance(self, config):
+    def test_engines_bit_identical_under_severance(
+        self, config, trajectory_signature
+    ):
         from repro.core.faults import FaultEvent, FaultPlan
 
         net = _net(4)
@@ -501,8 +486,8 @@ class TestTransitEngines:
         legacy = MultiSessionCoordinator(
             net, transit_engine="legacy", **kwargs
         ).run()
-        assert _trajectory_signature(incremental) == \
-            _trajectory_signature(legacy)
+        assert trajectory_signature(incremental) == \
+            trajectory_signature(legacy)
 
     def test_severance_refreshes_transit_background(self, config):
         from repro.core.faults import FaultEvent, FaultPlan
@@ -749,7 +734,7 @@ class TestDampingOffEquivalence:
         seed=st.integers(min_value=2005, max_value=2007),
     )
     def test_off_default_and_untriggered_ladder_identical(
-        self, config, shape, seed
+        self, config, trajectory_signature, shape, seed
     ):
         from repro.errors import TopologyError
 
@@ -767,10 +752,12 @@ class TestDampingOffEquivalence:
             )
         ]
         assume(results[0].converged)  # a cycle would rightly diverge
-        default, off, ladder = map(_trajectory_signature, results)
+        default, off, ladder = map(trajectory_signature, results)
         assert default == off == ladder
 
-    def test_ladder_matches_serial_on_workers(self, config):
+    def test_ladder_matches_serial_on_workers(
+        self, config, trajectory_signature
+    ):
         net = _net(4, shape="ring")
         serial, pooled = (
             MultiSessionCoordinator(
@@ -779,7 +766,7 @@ class TestDampingOffEquivalence:
             ).run()
             for workers in (None, 2)
         )
-        assert _trajectory_signature(serial) == _trajectory_signature(pooled)
+        assert trajectory_signature(serial) == trajectory_signature(pooled)
 
 
 class TestSingleIspRegression:
@@ -872,7 +859,9 @@ class TestMelCache:
         assert len(result.rounds) > 2  # the ladder escalated
         assert checked
 
-    def test_cache_matches_scratch_on_workers(self, config, monkeypatch):
+    def test_cache_matches_scratch_on_workers(
+        self, config, monkeypatch, trajectory_signature
+    ):
         net = _net(4, shape="ring")
         results = []
         for workers in (None, 2):
@@ -884,4 +873,4 @@ class TestMelCache:
             results.append(coordinator.run())
             assert checked
         serial, pooled = results
-        assert _trajectory_signature(pooled) == _trajectory_signature(serial)
+        assert trajectory_signature(pooled) == trajectory_signature(serial)

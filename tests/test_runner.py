@@ -193,6 +193,23 @@ class TestCheckpointStore:
         with pytest.raises(ConfigurationError, match="refusing to resume"):
             store.prepare(3, resume=True)
 
+    def test_unit_count_mismatch_is_named(self, tmp_path):
+        store = CheckpointStore(tmp_path, "demo", "abc")
+        store.prepare(12, resume=False)
+        with pytest.raises(ConfigurationError) as excinfo:
+            store.prepare(1, resume=True)
+        message = str(excinfo.value)
+        assert "stored unit count 12 != current 1" in message
+        assert "fingerprint" not in message
+
+    def test_fingerprint_mismatch_is_named(self, tmp_path):
+        CheckpointStore(tmp_path, "demo", "abc").prepare(12, resume=False)
+        with pytest.raises(ConfigurationError) as excinfo:
+            CheckpointStore(tmp_path, "demo", "xyz").prepare(1, resume=True)
+        message = str(excinfo.value)
+        assert "fingerprint 'abc' != 'xyz'" in message
+        assert "unit count" not in message
+
 
 # ---------------------------------------------------------------------------
 # Checkpointed sweeps end to end
